@@ -50,8 +50,8 @@ use std::sync::{Arc, OnceLock};
 
 use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel};
 use nbbs_cache::{drain_on_thread_exit, CacheConfig, DrainOnExit, MagazineCache, NodeOfFn};
-use nbbs_numa::{topology, NodePolicy, NodeSet, NodeStatsSnapshot, Topology};
-use nbbs_obs::{FacadeShare, MetricsRegistry, NodeShare, Recorder};
+use nbbs_numa::{topology, NodePlacement, NodePolicy, NodeSet, NodeStatsSnapshot, Topology};
+use nbbs_obs::{FacadeShare, MetricsRegistry, Recorder};
 use nbbs_trace::{HeapProfiler, TraceRing, DEFAULT_PROFILE_STRIDE};
 
 use crate::facade::NbbsAllocator;
@@ -293,12 +293,10 @@ impl NbbsGlobalAlloc {
                 if self.nodes == 0 || node_count > 1 {
                     topology::install_global(topo.clone());
                 }
-                let set = NodeSet::with_topology(
-                    (0..node_count)
-                        .map(|_| NbbsFourLevel::new(config))
-                        .collect(),
-                    topo,
-                    NodePolicy::HomeFirst,
+                let set = NodeSet::with_placement(
+                    node_count,
+                    move |_| NbbsFourLevel::new(config),
+                    NodePlacement::new(topo, NodePolicy::HomeFirst),
                 );
                 let (cache_config, name) = if node_count > 1 {
                     (
@@ -511,7 +509,7 @@ impl NbbsGlobalAlloc {
     /// local/remote service counts per node), once the state is built.  A
     /// single-node deployment reports one entry.
     pub fn node_stats(&self) -> Option<Vec<NodeStatsSnapshot>> {
-        self.built_state().map(|s| s.cache.backend().node_stats())
+        self.built_state().map(|s| s.cache.backend().slot_stats())
     }
 
     /// The stack's latency recorder (present when built with
@@ -587,21 +585,7 @@ impl NbbsGlobalAlloc {
         if let Some(state) = self.built_state() {
             reg.observe_backend(&state.cache);
             reg.set_memory(Some(state.facade.memory_stats()));
-            reg.set_nodes(
-                state
-                    .cache
-                    .backend()
-                    .node_stats()
-                    .iter()
-                    .map(|n| NodeShare {
-                        node: n.node,
-                        allocated_bytes: n.allocated_bytes as u64,
-                        local_allocs: n.local_allocs,
-                        remote_allocs: n.remote_allocs,
-                        failed_allocs: n.failed_allocs,
-                    })
-                    .collect(),
-            );
+            reg.set_nodes(state.cache.backend().slot_stats());
             if let Some(rec) = &state.recorder {
                 reg.set_recorder(Arc::clone(rec));
             }

@@ -437,20 +437,6 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn nests_inside_multi_instance() {
-        use nbbs::MultiInstance;
-        let m = MultiInstance::new(
-            (0..2)
-                .map(|_| MagazineCache::new(NbbsOneLevel::new(cfg())))
-                .collect::<Vec<_>>(),
-        );
-        let off = m.alloc(64).unwrap();
-        m.dealloc(off);
-        assert_eq!(m.allocated_bytes(), 0);
-    }
-
-    #[test]
     fn node_groups_partition_the_depot_shards() {
         use std::sync::atomic::{AtomicUsize, Ordering};
         static FAKE_NODE: AtomicUsize = AtomicUsize::new(0);

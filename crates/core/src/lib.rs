@@ -29,14 +29,14 @@
 //!   demand-zero [`Mapping`]) and exposes a pointer-returning API, plus the
 //!   decommit scrubber that makes the region *elastic*: committed memory
 //!   follows the live set instead of staying pinned at the configured peak.
-//! * [`ElasticSet`] — a chain of buddy instances behind one widened
-//!   [`BuddyBackend`] that grows under sustained OOM pressure and retires
-//!   drained regions at trough.
-//! * [`MultiInstance`] — a NUMA-style multi-instance router, mirroring how the
-//!   Linux kernel deploys one buddy instance per NUMA node.  (Deprecated: the
-//!   `nbbs-numa` crate's `NodeSet` carries the same routing but implements
-//!   [`BuddyBackend`] over a widened geometry — [`Geometry::widened`] — so the
-//!   cache and facade layers stack on top of it unchanged.)
+//! * [`SlotSet`] — identically-configured instances behind one widened
+//!   [`BuddyBackend`] ([`Geometry::widened`]): the slot index lives in the
+//!   high offset bits, so releases route by arithmetic.  A [`Placement`]
+//!   picks the slot each allocation probes first.  [`ElasticSet`] is the
+//!   set that builds slot 0 only, grows under sustained OOM pressure and
+//!   retires drained slots at trough; the `nbbs-numa` crate's `NodeSet` is
+//!   the set that builds one instance per NUMA node up front, mirroring how
+//!   the Linux kernel deploys one buddy instance per node.
 //! * [`verify`] — runtime checkers for the paper's safety properties (no two
 //!   live allocations overlap; a free releases exactly what was allocated).
 //!
@@ -51,7 +51,7 @@
 //! lookups), [`BuddyBackend::cache_stats`] / [`CacheStatsSnapshot`] and
 //! [`BuddyBackend::cache_class_capacities`] (cache telemetry through `dyn
 //! BuddyBackend`).  Because the cache implements [`BuddyBackend`] itself, it
-//! nests unchanged inside [`BuddyRegion`] and [`MultiInstance`].
+//! nests unchanged inside [`BuddyRegion`] and [`SlotSet`].
 //!
 //! ## Quick start
 //!
@@ -99,34 +99,33 @@
 #![warn(rust_2018_idioms)]
 
 pub mod config;
-pub mod elastic;
 pub mod error;
 pub mod fourlvl;
 pub mod geometry;
 pub mod locked;
 pub mod mapping;
-pub mod multi;
 pub mod occupancy;
 pub mod onelvl;
 pub mod region;
+pub mod set;
 pub mod stats;
 pub mod status;
 pub mod traits;
 pub mod verify;
 
 pub use config::{BuddyConfig, ScanPolicy};
-pub use elastic::{ElasticSet, ElasticStatsSnapshot};
 pub use error::{AllocError, ConfigError, FreeError};
 pub use fourlvl::NbbsFourLevel;
 pub use geometry::Geometry;
 pub use locked::{LockedBuddy, LockedFourLevel, LockedOneLevel};
 pub use mapping::Mapping;
-pub use multi::nearest_first_order;
-#[allow(deprecated)]
-pub use multi::MultiInstance;
 pub use occupancy::{occupancy_of, LevelOccupancy, OccupancySnapshot};
 pub use onelvl::NbbsOneLevel;
 pub use region::BuddyRegion;
+pub use set::{
+    nearest_first_order, ElasticSet, ElasticStatsSnapshot, FirstSlot, Placement, SlotSet,
+    SlotStatsSnapshot,
+};
 pub use stats::{
     CacheStatsSnapshot, FragClassSnapshot, FragStatsSnapshot, MemoryStatsSnapshot, OpStats,
     OpStatsSnapshot, CAS_LEVELS,

@@ -15,6 +15,23 @@
 //!   reuses the branch clears the coalescing bit first, which makes the
 //!   release's third phase stop early and leave the occupancy marks in place.
 //!
+//! Two departures from the paper's pseudocode close races that otherwise
+//! strand occupancy and coalescing bits on ancestors no chunk lives under
+//! (lost capacity, and an unclean audit at quiescence):
+//!
+//! * A rolled-back `TRYALLOC` releases like `NBFREE`, up to `max_level`,
+//!   instead of stopping at the last node it marked.  A concurrent release
+//!   whose first phase stopped at a shared ancestor because the rollback's
+//!   mark made the buddy branch look occupied relies on the rollback to
+//!   climb on.  Both release phases stop at a node that is itself
+//!   allocated, so the climb never disturbs a live chunk's ancestors.
+//! * `UNMARK` keeps climbing when it finds its branch already fully clear
+//!   (coalescing *and* occupancy bit gone).  That state means a delayed
+//!   release on the same branch consumed this release's coalescing bit and
+//!   may have stopped below the ancestors this release marked in its first
+//!   phase.  Only a cleared coalescing bit next to a set occupancy bit
+//!   (a reusing allocation) stops the climb.
+//!
 //! The structure is lock-free: a CAS can only fail because another operation
 //! made progress on the same word (see the paper's appendix; the progress
 //! argument is exercised by the stress tests in `tests/`).
@@ -26,7 +43,8 @@ use crate::error::FreeError;
 use crate::geometry::Geometry;
 use crate::stats::{OpStats, OpStatsSnapshot};
 use crate::status::{
-    clean_coal, is_coal, is_coal_buddy, is_free, is_occ_buddy, mark, unmark, BUSY, COAL_LEFT, OCC,
+    clean_coal, is_coal, is_coal_buddy, is_free, is_occ, is_occ_buddy, mark, unmark, BUSY,
+    COAL_LEFT, OCC,
 };
 use crate::traits::{BuddyBackend, TreeInspect};
 
@@ -248,8 +266,10 @@ impl NbbsOneLevel {
                 let cur_val = self.tree[current].load(Ordering::Acquire);
                 if cur_val & OCC != 0 {
                     // A concurrent allocation owns this whole chunk: abort and
-                    // revert the marks applied below it (line T12).
-                    self.free_node(n, self.geo.level_of(child));
+                    // revert the marks applied below it (line T12).  The
+                    // release climbs like `NBFREE` — see the module docs —
+                    // and its first phase stops at `current`.
+                    self.free_node(n, max_level);
                     return Err(current);
                 }
                 let new_val = mark(clean_coal(cur_val, child), child);
@@ -284,21 +304,24 @@ impl NbbsOneLevel {
     /// `FREENODE` (Algorithm 3): three-phase release of node `n`, climbing up
     /// to the node at `upper_level`.
     ///
-    /// Called with `upper_level == max_level` by [`NbbsOneLevel::dealloc`],
-    /// and with the level of the last successfully marked ancestor when
-    /// rolling back a failed `TRYALLOC`.
+    /// Called with `upper_level == max_level` both by
+    /// [`NbbsOneLevel::dealloc`] and when rolling back a failed `TRYALLOC`.
     fn free_node(&self, n: usize, upper_level: u32) {
         // Phase 1 (lines F2–F18): mark the coalescing bit of the traversed
         // branch on every ancestor from parent(n) up to the upper bound,
         // stopping early if the buddy branch is occupied (the subtree above
-        // cannot become free anyway).
+        // cannot become free anyway) or the ancestor is itself allocated
+        // (only a rollback meets one; its owner's release zeroes it).
         let mut runner = n;
         let mut current = n >> 1;
-        while self.geo.level_of(runner) > upper_level {
+        'climb: while self.geo.level_of(runner) > upper_level {
             let or_val = COAL_LEFT >> ((runner & 1) as u8);
             let old_val;
             loop {
                 let cur_val = self.tree[current].load(Ordering::Acquire);
+                if cur_val & OCC != 0 {
+                    break 'climb;
+                }
                 let new_val = cur_val | or_val;
                 self.stats.record_cas(1);
                 if self.tree[current]
@@ -330,8 +353,10 @@ impl NbbsOneLevel {
 
     /// `UNMARK` (Algorithm 4): clear the coalescing and occupancy bits of the
     /// branch from `n` up to `upper_level`, stopping if a concurrent
-    /// allocation already reused the branch (coalescing bit found cleared) or
-    /// the buddy branch is occupied (no further merge possible).
+    /// allocation already reused the branch (coalescing bit cleared,
+    /// occupancy bit set) or the buddy branch is occupied (no further merge
+    /// possible).  A branch found fully clear was cleaned by a concurrent
+    /// release; the climb passes it without a write.
     fn unmark(&self, n: usize, upper_level: u32) {
         let mut current = n;
         loop {
@@ -341,8 +366,12 @@ impl NbbsOneLevel {
             loop {
                 let cur_val = self.tree[current].load(Ordering::Acquire);
                 if !is_coal(cur_val, child) {
-                    // Someone reused (or already cleaned) this branch.
-                    return;
+                    if is_occ(cur_val, child) {
+                        // A concurrent allocation reused this branch.
+                        return;
+                    }
+                    new_val = cur_val;
+                    break;
                 }
                 let candidate = unmark(cur_val, child);
                 self.stats.record_cas(1);

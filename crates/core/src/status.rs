@@ -79,6 +79,12 @@ pub fn is_coal(val: u8, child: usize) -> bool {
     val & (COAL_LEFT >> mod2(child)) != 0
 }
 
+/// Is the branch leading to `child` occupied?
+#[inline(always)]
+pub fn is_occ(val: u8, child: usize) -> bool {
+    val & (OCC_LEFT >> mod2(child)) != 0
+}
+
 /// Is the *buddy* branch (the sibling of `child`) occupied?
 #[inline(always)]
 pub fn is_occ_buddy(val: u8, child: usize) -> bool {
@@ -258,6 +264,7 @@ mod tests {
                 assert_eq!(clean_coal(val, child), val & !coal_bit);
                 assert_eq!(unmark(val, child), val & !(occ_bit | coal_bit));
                 assert_eq!(is_coal(val, child), val & coal_bit != 0);
+                assert_eq!(is_occ(val, child), val & occ_bit != 0);
                 assert_eq!(is_occ_buddy(val, child), val & buddy_occ != 0);
                 assert_eq!(is_coal_buddy(val, child), val & buddy_coal != 0);
             }

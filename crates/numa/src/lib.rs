@@ -13,36 +13,27 @@
 //!  │  MagazineCache<NodeSet<_>>                        (nbbs-cache)   │
 //!  │     node-grouped depot shards (CacheConfig::node_groups)         │
 //!  ├──────────────────────────────────────────────────────────────────┤
-//!  │  NodeSet<A: BuddyBackend>                         (nbbs-numa)    │
+//!  │  NodeSet<A> = nbbs::SlotSet<A, NodePlacement>     (nbbs-numa)    │
 //!  │     widened geometry · home-first routing · per-node telemetry   │
 //!  ├──────────────┬──────────────┬──────────────┬────────────────────┤
 //!  │ NbbsFourLevel│ NbbsFourLevel│ NbbsFourLevel│ …one tree per node  │
 //!  └──────────────┴──────────────┴──────────────┴────────────────────┘
 //! ```
 //!
-//! * [`NodeSet`] owns N per-node instances under one **widened geometry**
-//!   (`nbbs::Geometry::widened`): the node index lives in the high bits of
-//!   the global offset, so ownership lookups are two shifts — and the set
-//!   itself implements `nbbs::BuddyBackend`, which is what lets the magazine
-//!   cache and the allocator facade stack on top unchanged.
+//! * [`NodeSet`] is an `nbbs::SlotSet` that builds one instance per node
+//!   under one **widened geometry** (`nbbs::Geometry::widened`): the node
+//!   index lives in the high bits of the global offset, so ownership
+//!   lookups are two shifts — and the set implements `nbbs::BuddyBackend`,
+//!   which is what lets the magazine cache and the allocator facade stack
+//!   on top unchanged.
 //! * [`Topology`] maps CPUs to nodes (sysfs on Linux, an `NBBS_NUMA_NODES`
 //!   override for CI, a deterministic synthetic fallback everywhere else)
-//!   and drives [`NodePolicy`] routing: `HomeFirst`, `Interleave`, or
-//!   `Pinned(n)`, always with nearest-first remote fallback.
+//!   and drives the [`NodePlacement`]: [`NodePolicy`] `HomeFirst`,
+//!   `Interleave`, or `Pinned(n)`, always with nearest-first remote
+//!   fallback.
 //! * [`NodeStatsSnapshot`] surfaces per-node allocated bytes and
 //!   local/remote/failed service counts — the data behind `nbbs-bench
 //!   fig12`'s per-node share table.
-//!
-//! ## Migrating from `nbbs::MultiInstance`
-//!
-//! `MultiInstance` (now deprecated) kept the same per-node layout but only
-//! offered an inherent API — it was *not* a `BuddyBackend`, so nothing could
-//! stack on it.  `NodeSet` is a drop-in upgrade: `new(instances)` builds the
-//! same router (`alloc`/`alloc_on`/`dealloc`/`owner_of`/`split` carry over),
-//! global offsets change from `i * total + local` to `(i << log2(total)) |
-//! local` (identical when the node count is a power of two), and everything
-//! that takes a `BuddyBackend` — `BuddyRegion`, `MagazineCache`,
-//! `NbbsAllocator`, the workload factory — now accepts the whole set.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -50,5 +41,5 @@
 mod nodeset;
 pub mod topology;
 
-pub use nodeset::{NodePolicy, NodeSet, NodeStatsSnapshot};
+pub use nodeset::{NodePlacement, NodePolicy, NodeSet, NodeStatsSnapshot};
 pub use topology::{current_node, Topology, TopologySource};

@@ -1,53 +1,27 @@
-//! [`NodeSet`]: N per-node buddy instances behind one widened
-//! [`BuddyBackend`].
+//! [`NodeSet`]: one buddy instance per NUMA node behind one widened
+//! `BuddyBackend` — an [`nbbs::SlotSet`] routed by a [`NodePlacement`].
 //!
-//! # The offset-widening scheme
-//!
-//! Every node manages the same per-node geometry (total size `T`, a power of
-//! two).  A *global* offset packs the node index into its high bits:
-//!
-//! ```text
-//! global = (node << log2(T)) | local        node = global >> log2(T)
-//!                                           local = global & (T - 1)
-//! ```
-//!
-//! so `owner_of`/`dealloc` are pure arithmetic — no search, no per-chunk
-//! bookkeeping — exactly how a physical frame number identifies its NUMA
-//! node.  To keep the global offset space a valid buddy geometry, the node
-//! count is rounded up to the next power of two ([`Geometry::widened`]);
-//! offsets in the phantom tail are simply never produced, and
-//! `total_memory()` reports the *logical* `n × T` span so backing-memory
-//! wrappers (`BuddyRegion`) and cache byte budgets never commit the
-//! phantom slots.  Because the
-//! widened geometry keeps the per-node `min_size`/`max_size`, a `NodeSet`
-//! **is** a [`BuddyBackend`]: `MagazineCache<NodeSet<_>>`,
-//! `BuddyRegion<NodeSet<_>>` and the `nbbs-alloc` facade all stack on top
-//! unchanged — the layering the deprecated `nbbs::MultiInstance` could
-//! never offer (its inherent-only API stopped the stack at the router).
-//!
-//! # Routing
-//!
-//! Allocations start from a node chosen by the [`NodePolicy`] (the calling
-//! thread's home node by default, read from the [`Topology`]) and fall back
-//! across the remaining nodes in [`nearest_first_order`] — closest ring
-//! neighbours first, like the kernel walking its NUMA zone list.  Releases
-//! always go to the owning node, whoever frees.  Per-node counters record
-//! how many allocations each node served for its own threads vs as a remote
-//! fallback, the telemetry behind `nbbs-bench fig12`'s share table.
+//! The set packs the node index into the high bits of every global offset
+//! (`global = (node << log2(T)) | local`), so releases route to the owning
+//! node by arithmetic, exactly how a physical frame number identifies its
+//! NUMA node.  This module only supplies where an allocation *starts*: the
+//! calling thread's home node from the [`Topology`], a rotating node, or a
+//! pinned one.  Exhaustion falls back across the remaining nodes in
+//! [`nbbs::nearest_first_order`], and the set's per-slot counters record
+//! how many allocations each node served for its own threads vs as a
+//! remote fallback — the telemetry behind `nbbs-bench fig12`'s share table.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-use nbbs::error::{AllocError, FreeError};
-use nbbs::stats::{CacheStatsSnapshot, OpStatsSnapshot};
-use nbbs::{nearest_first_order, BuddyBackend, Geometry};
-use nbbs_sync::CachePadded;
+use nbbs::{Placement, SlotSet, SlotStatsSnapshot};
 
 use crate::topology::Topology;
 
 /// Which node an allocation is first attempted on.
 ///
 /// Whatever the policy picks, exhaustion falls back across the remaining
-/// nodes in [`nearest_first_order`]; releases always route to the owner.
+/// nodes in [`nbbs::nearest_first_order`]; releases always route to the
+/// owner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum NodePolicy {
     /// Start from the calling thread's home node (the [`Topology`]'s
@@ -63,623 +37,85 @@ pub enum NodePolicy {
     Pinned(usize),
 }
 
-/// Cache-padded so the hot-path `fetch_add`s of threads homed on different
-/// nodes never bounce a shared line — the cross-node traffic this crate
-/// exists to avoid.
-#[derive(Debug, Default)]
-struct NodeCounters {
-    /// Allocations this node served for requests that *started* here.
-    local_allocs: AtomicU64,
-    /// Allocations this node served as a remote fallback (the request
-    /// started on another node).
-    remote_allocs: AtomicU64,
-    /// Requests that started here and failed on every node.
-    failed_allocs: AtomicU64,
-}
-
-/// Point-in-time per-node telemetry of a [`NodeSet`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct NodeStatsSnapshot {
-    /// Node index.
-    pub node: usize,
-    /// Bytes currently handed out by this node's instance.
-    pub allocated_bytes: usize,
-    /// Allocations this node served for requests that started on it.
-    pub local_allocs: u64,
-    /// Allocations this node served as a remote fallback.
-    pub remote_allocs: u64,
-    /// Requests that started on this node and failed everywhere.
-    pub failed_allocs: u64,
-}
-
-impl NodeStatsSnapshot {
-    /// Allocations this node served in total (local + remote-fallback).
-    pub fn served(&self) -> u64 {
-        self.local_allocs + self.remote_allocs
-    }
-}
-
-/// A set of per-node buddy instances behind one widened [`BuddyBackend`].
+/// The [`Placement`] of a [`NodeSet`]: a topology and a [`NodePolicy`].
 ///
-/// See the [module docs](self) for the offset-widening scheme and routing.
-///
-/// ```
-/// use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel};
-/// use nbbs_numa::{NodePolicy, NodeSet, Topology};
-///
-/// let config = BuddyConfig::new(1 << 20, 64, 1 << 16).unwrap();
-/// let set = NodeSet::with_topology(
-///     (0..2).map(|_| NbbsFourLevel::new(config)).collect(),
-///     Topology::synthetic(2),
-///     NodePolicy::HomeFirst,
-/// );
-/// let off = set.alloc(4096).unwrap();          // routed to this thread's home
-/// assert!(set.owner_of(off) < 2);
-/// set.dealloc(off);                            // routed back by arithmetic
-/// assert_eq!(set.allocated_bytes(), 0);
-/// ```
-pub struct NodeSet<A: BuddyBackend> {
-    nodes: Vec<A>,
-    /// Widened geometry spanning `node_count.next_power_of_two()` slots.
-    geometry: Geometry,
-    /// `log2(per-node total)`: the packing shift.
-    node_shift: u32,
-    /// `per-node total - 1`: the local-offset mask.
-    node_mask: usize,
+/// The topology's node count may differ from the instance count (e.g. a
+/// 2-node machine driving a 4-instance set); home nodes are taken modulo
+/// the instance count.
+#[derive(Debug)]
+pub struct NodePlacement {
     topology: Topology,
     policy: NodePolicy,
     next_interleave: AtomicUsize,
-    counters: Box<[CachePadded<NodeCounters>]>,
-    name: &'static str,
 }
 
-impl<A: BuddyBackend> NodeSet<A> {
-    /// Builds a node set over identically-configured instances, with a
-    /// synthetic topology matching the instance count and the default
-    /// [`NodePolicy::HomeFirst`] routing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `nodes` is empty, the instances disagree on their geometry,
-    /// or the widened geometry would exceed the supported tree depth.
-    pub fn new(nodes: Vec<A>) -> Self {
-        let count = nodes.len();
-        Self::with_topology(nodes, Topology::synthetic(count), NodePolicy::default())
-    }
-
-    /// Builds a node set with an explicit topology and routing policy.
-    ///
-    /// The topology's node count may differ from the instance count (e.g. a
-    /// 2-node machine driving a 4-instance set); home nodes are taken modulo
-    /// the instance count.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`NodeSet::new`].
-    pub fn with_topology(nodes: Vec<A>, topology: Topology, policy: NodePolicy) -> Self {
-        assert!(!nodes.is_empty(), "need at least one node");
-        let per_node = *nodes[0].geometry();
-        assert!(
-            nodes.iter().all(|n| *n.geometry() == per_node),
-            "all nodes must share one geometry"
-        );
-        let geometry = per_node
-            .widened(nodes.len())
-            .expect("widened geometry within the supported depth");
-        let counters = (0..nodes.len())
-            .map(|_| CachePadded::new(NodeCounters::default()))
-            .collect();
-        NodeSet {
-            geometry,
-            node_shift: per_node.widening_shift(),
-            node_mask: per_node.total_memory() - 1,
+impl NodePlacement {
+    /// Routes by `topology` under `policy`.
+    pub fn new(topology: Topology, policy: NodePolicy) -> Self {
+        NodePlacement {
             topology,
             policy,
             next_interleave: AtomicUsize::new(0),
-            counters,
-            name: "numa-nodeset",
-            nodes,
         }
     }
+}
 
-    /// Returns this set under a custom report name (e.g. `"numa-4lvl-nb"`).
-    #[must_use]
-    pub fn with_name(mut self, name: &'static str) -> Self {
-        self.name = name;
-        self
-    }
-
-    /// Number of nodes (real instances, not the widened power-of-two span).
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Access to one node's instance (e.g. for per-node verification).
-    pub fn node(&self, i: usize) -> &A {
-        &self.nodes[i]
-    }
-
-    /// Bytes managed by each single node.
-    pub fn node_memory(&self) -> usize {
-        self.node_mask + 1
-    }
-
-    /// The routing policy in effect.
-    pub fn policy(&self) -> NodePolicy {
-        self.policy
-    }
-
-    /// The topology driving home-node routing.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// The calling thread's home node (topology home, modulo the node
-    /// count).  Publishes the answer as the thread's trace node hint, so
-    /// events this thread subsequently records carry the node lane.
-    pub fn home_node(&self) -> usize {
-        let node = self.topology.current_node() % self.nodes.len();
+impl Placement for NodePlacement {
+    /// The topology home node, modulo the node count.  Publishes the answer
+    /// as the thread's trace node hint, so events this thread subsequently
+    /// records carry the node lane.
+    fn home(&self, nodes: usize) -> usize {
+        let node = self.topology.current_node() % nodes;
         nbbs_trace::set_thread_node(node);
         node
     }
 
-    /// Packs `(node, local offset)` into a global offset.
-    #[inline]
-    pub fn pack(&self, node: usize, local: usize) -> usize {
-        debug_assert!(node < self.nodes.len());
-        debug_assert!(local <= self.node_mask);
-        (node << self.node_shift) | local
-    }
-
-    /// Splits a global offset into `(node, local offset)` — two shifts, no
-    /// search.
-    #[inline]
-    pub fn split(&self, global: usize) -> (usize, usize) {
-        (global >> self.node_shift, global & self.node_mask)
-    }
-
-    /// Which node owns a global offset.
-    #[inline]
-    pub fn owner_of(&self, global: usize) -> usize {
-        global >> self.node_shift
-    }
-
-    /// Allocates explicitly on node `i` with **no** fallback — the
-    /// `__GFP_THISNODE` analogue.  Counts as local service when `i` is the
-    /// caller's home node, as remote service otherwise.
-    pub fn alloc_on(&self, i: usize, size: usize) -> Option<usize> {
-        let local = self.nodes[i].alloc(size)?;
-        if i == self.home_node() {
-            self.counters[i]
-                .local_allocs
-                .fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.counters[i]
-                .remote_allocs
-                .fetch_add(1, Ordering::Relaxed);
-        }
-        Some(self.pack(i, local))
-    }
-
-    /// The node an allocation starts from under the current policy.
-    fn start_node(&self) -> usize {
-        let n = self.nodes.len();
+    fn start(&self, nodes: usize) -> usize {
         match self.policy {
-            NodePolicy::HomeFirst => self.home_node(),
-            NodePolicy::Interleave => self.next_interleave.fetch_add(1, Ordering::Relaxed) % n,
-            NodePolicy::Pinned(k) => k % n,
+            NodePolicy::HomeFirst => self.home(nodes),
+            NodePolicy::Interleave => self.next_interleave.fetch_add(1, Ordering::Relaxed) % nodes,
+            NodePolicy::Pinned(k) => k % nodes,
         }
-    }
-
-    /// Bytes currently handed out by each node — exact at quiescence, one
-    /// relaxed counter read per node (phantom widening slots own nothing
-    /// and are not listed).
-    pub fn allocated_bytes_per_node(&self) -> Vec<usize> {
-        self.nodes.iter().map(|n| n.allocated_bytes()).collect()
-    }
-
-    /// Point-in-time per-node telemetry (allocated bytes, local/remote
-    /// service counts, failures).
-    pub fn node_stats(&self) -> Vec<NodeStatsSnapshot> {
-        self.nodes
-            .iter()
-            .zip(self.counters.iter())
-            .enumerate()
-            .map(|(node, (instance, c))| NodeStatsSnapshot {
-                node,
-                allocated_bytes: instance.allocated_bytes(),
-                local_allocs: c.local_allocs.load(Ordering::Relaxed),
-                remote_allocs: c.remote_allocs.load(Ordering::Relaxed),
-                failed_allocs: c.failed_allocs.load(Ordering::Relaxed),
-            })
-            .collect()
     }
 }
 
-impl<A: BuddyBackend> BuddyBackend for NodeSet<A> {
-    fn name(&self) -> &'static str {
-        self.name
-    }
+/// One buddy instance per node behind one widened `BuddyBackend`.
+///
+/// ```
+/// use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel};
+/// use nbbs_numa::{NodePlacement, NodePolicy, NodeSet, Topology};
+///
+/// let config = BuddyConfig::new(1 << 20, 64, 1 << 16).unwrap();
+/// let set = NodeSet::with_placement(
+///     2,
+///     move |_node| NbbsFourLevel::new(config),
+///     NodePlacement::new(Topology::synthetic(2), NodePolicy::HomeFirst),
+/// );
+/// let off = set.alloc(4096).unwrap(); // routed to this thread's home
+/// assert!(set.owner_of(off) < 2);
+/// set.dealloc(off); // routed back by arithmetic
+/// assert_eq!(set.allocated_bytes(), 0);
+/// ```
+pub type NodeSet<A> = SlotSet<A, NodePlacement>;
 
-    /// The **widened** geometry: `node_count.next_power_of_two()` per-node
-    /// spans, per-node `min_size`/`max_size`.
-    fn geometry(&self) -> &Geometry {
-        &self.geometry
-    }
-
-    fn alloc(&self, size: usize) -> Option<usize> {
-        let start = self.start_node();
-        for i in nearest_first_order(start, self.nodes.len()) {
-            if let Some(local) = self.nodes[i].alloc(size) {
-                let served = if i == start {
-                    &self.counters[i].local_allocs
-                } else {
-                    &self.counters[i].remote_allocs
-                };
-                served.fetch_add(1, Ordering::Relaxed);
-                return Some(self.pack(i, local));
-            }
-        }
-        self.counters[start]
-            .failed_allocs
-            .fetch_add(1, Ordering::Relaxed);
-        None
-    }
-
-    fn dealloc(&self, offset: usize) {
-        let (node, local) = self.split(offset);
-        self.nodes[node].dealloc(local);
-    }
-
-    fn try_alloc(&self, size: usize) -> Result<usize, AllocError> {
-        if size > self.max_size() {
-            return Err(AllocError::TooLarge {
-                requested: size,
-                max_size: self.max_size(),
-            });
-        }
-        self.alloc(size)
-            .ok_or(AllocError::OutOfMemory { requested: size })
-    }
-
-    fn try_dealloc(&self, offset: usize) -> Result<(), FreeError> {
-        let (node, local) = self.split(offset);
-        if node >= self.nodes.len() {
-            // Out of the real nodes' span (including the phantom widening
-            // tail): report the *logical* span, not the widened one.
-            return Err(FreeError::OutOfRange {
-                offset,
-                total_memory: self.nodes.len() << self.node_shift,
-            });
-        }
-        self.nodes[node].try_dealloc(local)
-    }
-
-    /// The **logical** managed span, `node_count << shift` — smaller than
-    /// the widened `geometry().total_memory()` when the node count is not a
-    /// power of two.  Offsets in the phantom widening tail are never
-    /// produced, so backing-memory wrappers (`BuddyRegion`) and byte
-    /// budgets need only cover this span.
-    fn total_memory(&self) -> usize {
-        self.nodes.len() << self.node_shift
-    }
-
-    fn allocated_bytes(&self) -> usize {
-        self.nodes.iter().map(|n| n.allocated_bytes()).sum()
-    }
-
-    fn stats(&self) -> OpStatsSnapshot {
-        let mut acc = OpStatsSnapshot::default();
-        for n in &self.nodes {
-            acc.merge(&n.stats());
-        }
-        acc
-    }
-
-    fn granted_size_of_live(&self, offset: usize) -> Option<usize> {
-        let (node, local) = self.split(offset);
-        self.nodes.get(node)?.granted_size_of_live(local)
-    }
-
-    fn granted_size_for(&self, size: usize) -> Option<usize> {
-        // Forward to a node so the answer reflects the innermost grant
-        // policy (a per-node cache or wrapper may refine it).
-        self.nodes[0].granted_size_for(size)
-    }
-
-    fn grant_alignment_for(&self, size: usize) -> Option<usize> {
-        // Nodes are homogeneous, so node 0 speaks for all — but a packed
-        // offset's *global* alignment is also capped by the node stride.
-        let local = self.nodes[0].grant_alignment_for(size)?;
-        Some(local.min(1 << self.node_shift))
-    }
-
-    fn frag_stats(&self) -> Option<nbbs::FragStatsSnapshot> {
-        let mut merged: Option<nbbs::FragStatsSnapshot> = None;
-        for n in &self.nodes {
-            if let Some(s) = n.frag_stats() {
-                match &mut merged {
-                    Some(acc) => acc.merge(&s),
-                    None => merged = Some(s),
-                }
-            }
-        }
-        merged
-    }
-
-    fn cache_stats(&self) -> Option<CacheStatsSnapshot> {
-        let mut merged: Option<CacheStatsSnapshot> = None;
-        for n in &self.nodes {
-            if let Some(s) = n.cache_stats() {
-                merged.get_or_insert_with(Default::default).merge(&s);
-            }
-        }
-        merged
-    }
-
-    fn cache_class_capacities(&self) -> Option<Vec<(usize, usize)>> {
-        let mut merged: Option<std::collections::BTreeMap<usize, usize>> = None;
-        for n in &self.nodes {
-            if let Some(caps) = n.cache_class_capacities() {
-                let map = merged.get_or_insert_with(Default::default);
-                for (size, cap) in caps {
-                    let entry = map.entry(size).or_insert(0);
-                    *entry = (*entry).max(cap);
-                }
-            }
-        }
-        merged.map(|m| m.into_iter().collect())
-    }
-
-    fn drain_cache(&self) {
-        for n in &self.nodes {
-            n.drain_cache();
-        }
-    }
-
-    fn occupancy(&self) -> Option<nbbs::OccupancySnapshot> {
-        let mut merged: Option<nbbs::OccupancySnapshot> = None;
-        for (i, n) in self.nodes.iter().enumerate() {
-            if let Some(mut s) = n.occupancy() {
-                // Free chunks come back node-local; rebase them into the
-                // packed global offset space before merging so the decommit
-                // scrubber claims the right node's blocks.
-                s.shift_free_chunks(i << self.node_shift);
-                match &mut merged {
-                    Some(acc) => acc.merge(&s),
-                    None => merged = Some(s),
-                }
-            }
-        }
-        merged
-    }
-
-    fn free_chunks(&self, min_size: usize) -> Option<Vec<(usize, usize)>> {
-        let mut merged: Option<Vec<(usize, usize)>> = None;
-        for (i, n) in self.nodes.iter().enumerate() {
-            if let Some(chunks) = n.free_chunks(min_size) {
-                // Node-local offsets rebase into the packed global space,
-                // same as the occupancy merge above.
-                let base = i << self.node_shift;
-                merged
-                    .get_or_insert_with(Vec::new)
-                    .extend(chunks.into_iter().map(|(off, size)| (base | off, size)));
-            }
-        }
-        merged
-    }
-
-    fn scrub_claim(&self, offset: usize, size: usize) -> bool {
-        let (node, local) = self.split(offset);
-        match self.nodes.get(node) {
-            Some(n) => n.scrub_claim(local, size),
-            None => false,
-        }
-    }
-
-    fn scrub_dealloc(&self, offset: usize) {
-        let (node, local) = self.split(offset);
-        self.nodes[node].scrub_dealloc(local);
-    }
-
-    fn trim_empty_pages(&self) -> usize {
-        self.nodes.iter().map(|n| n.trim_empty_pages()).sum()
-    }
-}
-
-impl<A: BuddyBackend + std::fmt::Debug> std::fmt::Debug for NodeSet<A> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NodeSet")
-            .field("name", &self.name)
-            .field("nodes", &self.nodes)
-            .field("policy", &self.policy)
-            .field("topology", &self.topology)
-            .finish()
-    }
-}
+/// Point-in-time per-node telemetry of a [`NodeSet`].
+pub type NodeStatsSnapshot = SlotStatsSnapshot;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nbbs::{BuddyConfig, NbbsFourLevel, NbbsOneLevel};
-    use std::sync::Arc;
-
-    fn set(n: usize, per_node: usize) -> NodeSet<NbbsOneLevel> {
-        NodeSet::new(
-            (0..n)
-                .map(|_| NbbsOneLevel::new(BuddyConfig::new(per_node, 64, per_node).unwrap()))
-                .collect(),
-        )
-    }
 
     #[test]
-    fn offsets_pack_the_node_into_the_high_bits() {
-        let s = set(3, 4096);
-        assert_eq!(s.node_memory(), 4096);
-        // Widened over 4 slots (3 rounded up), per-node ceiling kept; the
-        // *logical* span stays 3 nodes — backing wrappers never commit the
-        // phantom tail.
-        assert_eq!(s.geometry().total_memory(), 4 * 4096);
-        assert_eq!(s.total_memory(), 3 * 4096);
-        assert_eq!(s.max_size(), 4096);
-        let off = s.alloc_on(2, 64).unwrap();
-        assert_eq!(s.owner_of(off), 2);
-        assert_eq!(s.split(off), (2, off & 4095));
-        assert_eq!(s.pack(2, off & 4095), off);
-        s.dealloc(off);
-        assert_eq!(s.allocated_bytes(), 0);
-    }
+    fn policies_pick_the_start_node() {
+        let homed = NodePlacement::new(Topology::synthetic(2), NodePolicy::HomeFirst);
+        assert_eq!(homed.start(3), homed.home(3));
+        assert!(homed.home(3) < 3);
 
-    #[test]
-    fn fallback_covers_every_node_and_reports_oom() {
-        let s = set(2, 1024);
-        let a = s.alloc(1024).unwrap();
-        let b = s.alloc(1024).unwrap();
-        assert_ne!(s.owner_of(a), s.owner_of(b), "fallback took the other node");
-        assert!(matches!(
-            s.try_alloc(64),
-            Err(AllocError::OutOfMemory { .. })
-        ));
-        assert!(matches!(
-            s.try_alloc(4096),
-            Err(AllocError::TooLarge { .. })
-        ));
-        let failed: u64 = s.node_stats().iter().map(|n| n.failed_allocs).sum();
-        assert_eq!(failed, 1, "the OOM was recorded on the start node");
-        s.dealloc(a);
-        s.dealloc(b);
-    }
+        let pinned = NodePlacement::new(Topology::synthetic(2), NodePolicy::Pinned(4));
+        assert_eq!(pinned.start(3), 1, "pins clamp modulo the node count");
 
-    #[test]
-    fn try_dealloc_rejects_the_phantom_widening_tail() {
-        let s = set(3, 1024);
-        // Slot 3 exists in the widened (4-slot) geometry but owns no
-        // instance; beyond-the-widening offsets are equally rejected.
-        assert!(matches!(
-            s.try_dealloc(3 * 1024),
-            Err(FreeError::OutOfRange { .. })
-        ));
-        assert!(matches!(
-            s.try_dealloc(100 * 1024),
-            Err(FreeError::OutOfRange { .. })
-        ));
-        let off = s.alloc(64).unwrap();
-        assert!(s.try_dealloc(off).is_ok());
-    }
-
-    #[test]
-    fn local_and_remote_service_counters_split_by_start_node() {
-        let s = set(2, 1024);
-        let home = s.home_node();
-        // Fill the home node, then force a remote fallback.
-        let a = s.alloc_on(home, 1024).unwrap();
-        let b = s.alloc(1024).unwrap();
-        assert_eq!(s.owner_of(b), 1 - home);
-        let stats = s.node_stats();
-        assert_eq!(stats[home].local_allocs, 1);
-        assert_eq!(stats[1 - home].remote_allocs, 1);
-        assert_eq!(stats[1 - home].served(), 1);
-        assert_eq!(
-            s.allocated_bytes_per_node(),
-            {
-                let mut v = vec![0; 2];
-                v[home] = 1024;
-                v[1 - home] = 1024;
-                v
-            },
-            "per-node byte accounting exact under the widened geometry"
-        );
-        s.dealloc(a);
-        s.dealloc(b);
-        assert_eq!(s.allocated_bytes_per_node(), vec![0, 0]);
-    }
-
-    #[test]
-    fn interleave_policy_rotates_start_nodes() {
-        let s = NodeSet::with_topology(
-            (0..4)
-                .map(|_| NbbsOneLevel::new(BuddyConfig::new(4096, 64, 4096).unwrap()))
-                .collect::<Vec<_>>(),
-            Topology::synthetic(4),
-            NodePolicy::Interleave,
-        );
-        let offs: Vec<usize> = (0..4).map(|_| s.alloc(64).unwrap()).collect();
-        let owners: std::collections::HashSet<usize> =
-            offs.iter().map(|&o| s.owner_of(o)).collect();
-        assert_eq!(owners.len(), 4, "four interleaved allocations, four nodes");
-        for off in offs {
-            s.dealloc(off);
-        }
-    }
-
-    #[test]
-    fn pinned_policy_starts_from_the_pinned_node() {
-        let s = NodeSet::with_topology(
-            (0..3)
-                .map(|_| NbbsOneLevel::new(BuddyConfig::new(4096, 64, 4096).unwrap()))
-                .collect::<Vec<_>>(),
-            Topology::synthetic(3),
-            NodePolicy::Pinned(1),
-        );
-        for _ in 0..3 {
-            let off = s.alloc(64).unwrap();
-            assert_eq!(s.owner_of(off), 1);
-            s.dealloc(off);
-        }
-        assert_eq!(s.node_stats()[1].local_allocs, 3);
-    }
-
-    #[test]
-    fn concurrent_churn_returns_every_byte() {
-        let s = Arc::new(NodeSet::new(
-            (0..4)
-                .map(|_| NbbsFourLevel::new(BuddyConfig::new(1 << 14, 64, 1 << 12).unwrap()))
-                .collect::<Vec<_>>(),
-        ));
-        let handles: Vec<_> = (0..8)
-            .map(|t| {
-                let s = Arc::clone(&s);
-                std::thread::spawn(move || {
-                    let mut live = Vec::new();
-                    for i in 0..2_000usize {
-                        let size = 64usize << ((i + t) % 5);
-                        if let Some(off) = s.alloc(size) {
-                            assert!(s.owner_of(off) < 4);
-                            live.push(off);
-                        }
-                        if live.len() > 16 {
-                            live.rotate_left(1);
-                            s.dealloc(live.pop().unwrap());
-                        }
-                    }
-                    for off in live {
-                        s.dealloc(off);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(s.allocated_bytes(), 0);
-        assert_eq!(s.allocated_bytes_per_node(), vec![0; 4]);
-        for i in 0..4 {
-            nbbs::verify::audit_empty(s.node(i)).assert_clean();
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one node")]
-    fn empty_node_list_panics() {
-        let _ = NodeSet::<NbbsOneLevel>::new(Vec::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "share one geometry")]
-    fn mismatched_geometries_panic() {
-        let _ = NodeSet::new(vec![
-            NbbsOneLevel::new(BuddyConfig::new(4096, 64, 4096).unwrap()),
-            NbbsOneLevel::new(BuddyConfig::new(8192, 64, 4096).unwrap()),
-        ]);
+        let spread = NodePlacement::new(Topology::synthetic(4), NodePolicy::Interleave);
+        let starts: Vec<usize> = (0..8).map(|_| spread.start(4)).collect();
+        assert_eq!(starts, vec![0, 1, 2, 3, 0, 1, 2, 3]);
     }
 }

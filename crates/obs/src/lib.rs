@@ -28,7 +28,7 @@
 //!
 //! The crate depends only on `nbbs` (core) and `nbbs-sync`, so every
 //! higher layer can use it without cycles; node and facade figures flow
-//! through the neutral [`NodeShare`]/[`FacadeShare`] structs.
+//! through the core's `SlotStatsSnapshot` and the neutral [`FacadeShare`].
 
 pub mod flight;
 pub mod hist;
@@ -43,7 +43,7 @@ pub use hist::{
 };
 pub use recorded::{Recorded, DEFAULT_SAMPLE_STRIDE};
 pub use recorder::{size_detail, EventSink, OpKind, OpOutcome, Recorder};
-pub use registry::{FacadeShare, MetricsRegistry, NodeShare, StackSnapshot};
+pub use registry::{FacadeShare, MetricsRegistry, StackSnapshot};
 
 /// Hand-rolled JSON helpers shared by every exposition path in the
 /// workspace (the build environment is offline — no serde).

@@ -10,42 +10,19 @@
 //! the workspace reports identically.
 //!
 //! The crate sits *below* `nbbs-cache`/`nbbs-numa`/`nbbs-alloc` in the
-//! dependency graph, so the node and facade figures arrive through the
-//! neutral [`NodeShare`]/[`FacadeShare`] structs that the higher layers
-//! convert into.
+//! dependency graph, so the facade figures arrive through the neutral
+//! [`FacadeShare`] struct that the higher layers convert into; per-node
+//! shares are the core's [`SlotStatsSnapshot`].
 
 use std::sync::Arc;
 
 use nbbs::{
     BuddyBackend, CacheStatsSnapshot, FragStatsSnapshot, MemoryStatsSnapshot, OccupancySnapshot,
-    OpStatsSnapshot, CAS_LEVELS,
+    OpStatsSnapshot, SlotStatsSnapshot, CAS_LEVELS,
 };
 
 use crate::hist::LatencyPercentiles;
 use crate::recorder::{OpKind, Recorder};
-
-/// One NUMA node's service share — the dependency-neutral mirror of
-/// `nbbs_numa::NodeStatsSnapshot`.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct NodeShare {
-    /// Node index.
-    pub node: usize,
-    /// Bytes currently live on this node.
-    pub allocated_bytes: u64,
-    /// Allocations served to threads homed on this node.
-    pub local_allocs: u64,
-    /// Allocations served to remote threads (fallback traffic).
-    pub remote_allocs: u64,
-    /// Allocations this node could not serve.
-    pub failed_allocs: u64,
-}
-
-impl NodeShare {
-    /// Total allocations this node served.
-    pub fn served(&self) -> u64 {
-        self.local_allocs + self.remote_allocs
-    }
-}
 
 /// The facade layer's service figures — the dependency-neutral mirror of
 /// `nbbs-alloc`'s byte-share counters and `FacadeStatsSnapshot`.
@@ -127,7 +104,7 @@ pub struct StackSnapshot {
     /// Converged per-class magazine capacities, if the stack has a cache.
     pub capacities: Option<Vec<(usize, usize)>>,
     /// Per-node service shares (empty for single-arena stacks).
-    pub nodes: Vec<NodeShare>,
+    pub nodes: Vec<SlotStatsSnapshot>,
     /// Per-class fragmentation counters, if the stack has a slab layer
     /// (committed-over-requested ratio, live pages, passthrough traffic).
     pub frag: Option<FragStatsSnapshot>,
@@ -312,7 +289,7 @@ impl StackSnapshot {
             }
         }
         if !self.nodes.is_empty() {
-            let total_served: u64 = self.nodes.iter().map(NodeShare::served).sum();
+            let total_served: u64 = self.nodes.iter().map(SlotStatsSnapshot::served).sum();
             for n in &self.nodes {
                 let share = if total_served == 0 {
                     0.0
@@ -323,7 +300,7 @@ impl StackSnapshot {
                     out,
                     "  node {}:  {share:>5.1}% of allocations ({} local, {} remote-fallback, \
                      {} failed, {} B live)",
-                    n.node, n.local_allocs, n.remote_allocs, n.failed_allocs, n.allocated_bytes
+                    n.slot, n.local_allocs, n.remote_allocs, n.failed_allocs, n.allocated_bytes
                 );
             }
         }
@@ -435,7 +412,7 @@ impl StackSnapshot {
                     format!(
                         "{{\"node\":{},\"allocated_bytes\":{},\"local_allocs\":{},\
                          \"remote_allocs\":{},\"failed_allocs\":{}}}",
-                        n.node, n.allocated_bytes, n.local_allocs, n.remote_allocs, n.failed_allocs
+                        n.slot, n.allocated_bytes, n.local_allocs, n.remote_allocs, n.failed_allocs
                     )
                 })
                 .collect();
@@ -570,7 +547,7 @@ pub struct MetricsRegistry {
     backend_ops: OpStatsSnapshot,
     cache: Option<CacheStatsSnapshot>,
     capacities: Option<Vec<(usize, usize)>>,
-    nodes: Vec<NodeShare>,
+    nodes: Vec<SlotStatsSnapshot>,
     frag: Option<FragStatsSnapshot>,
     facade: Option<FacadeShare>,
     occupancy: Option<OccupancySnapshot>,
@@ -617,7 +594,7 @@ impl MetricsRegistry {
     }
 
     /// Sets the per-node service shares.
-    pub fn set_nodes(&mut self, nodes: Vec<NodeShare>) -> &mut Self {
+    pub fn set_nodes(&mut self, nodes: Vec<SlotStatsSnapshot>) -> &mut Self {
         self.nodes = nodes;
         self
     }
@@ -707,14 +684,14 @@ mod tests {
         }))
         .set_capacities(Some(vec![(64, 8), (128, 16)]))
         .set_nodes(vec![
-            NodeShare {
-                node: 0,
+            SlotStatsSnapshot {
+                slot: 0,
                 local_allocs: 80,
                 remote_allocs: 5,
                 ..Default::default()
             },
-            NodeShare {
-                node: 1,
+            SlotStatsSnapshot {
+                slot: 1,
                 local_allocs: 15,
                 ..Default::default()
             },

@@ -107,7 +107,7 @@ use std::sync::Arc;
 use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel, NbbsOneLevel, ScanPolicy};
 use nbbs_cache::{verify_cached_empty, CacheConfig, MagazineCache};
 use nbbs_chaos::{FaultInjecting, FaultPlan};
-use nbbs_numa::{NodePolicy, NodeSet, Topology};
+use nbbs_numa::{NodePlacement, NodePolicy, NodeSet, Topology};
 use nbbs_sync::CycleTimer;
 use nbbs_trace::{HeapProfiler, MetricsSampler, TraceRing};
 use nbbs_workloads::factory::{AllocatorKind, SharedBackend};
@@ -379,10 +379,10 @@ fn fig12_numa(opts: &Options) -> Vec<Measurement> {
             for &t in &threads {
                 for ratio in [1.0f64, 0.5] {
                     let set = Arc::new(
-                        NodeSet::with_topology(
-                            (0..nodes).map(|_| NbbsFourLevel::new(per_node)).collect(),
-                            Topology::synthetic(nodes),
-                            NodePolicy::HomeFirst,
+                        NodeSet::with_placement(
+                            nodes,
+                            move |_| NbbsFourLevel::new(per_node),
+                            NodePlacement::new(Topology::synthetic(nodes), NodePolicy::HomeFirst),
                         )
                         .with_name("numa-4lvl-nb"),
                     );
@@ -400,7 +400,7 @@ fn fig12_numa(opts: &Options) -> Vec<Measurement> {
                         .percentiles();
                     let m = Measurement::new(workload, "numa-4lvl-nb", size, result)
                         .with_backend_ops(set.stats())
-                        .with_node_shares(Some(set.node_stats()))
+                        .with_node_shares(Some(set.slot_stats()))
                         .with_latency(Some(latency));
                     if opts.verbose {
                         eprintln!("[nbbs-bench]   -> {m}");

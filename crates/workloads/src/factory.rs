@@ -9,7 +9,7 @@ use nbbs::{
 };
 use nbbs_baselines::{CloudwuBuddy, LinuxBuddy};
 use nbbs_cache::{CacheConfig, MagazineCache};
-use nbbs_numa::{NodePolicy, NodeSet, Topology};
+use nbbs_numa::{NodePlacement, NodePolicy, NodeSet, Topology};
 use nbbs_slab::{SlabBackend, SlabConfig};
 
 /// A shareable, dynamically-typed back-end allocator.
@@ -336,10 +336,10 @@ fn build_node_set(config: BuddyConfig) -> NodeSet<NbbsFourLevel> {
     )
     .expect("power-of-two slice of a valid config is valid")
     .with_scan_policy(config.scan_policy());
-    NodeSet::with_topology(
-        (0..nodes).map(|_| NbbsFourLevel::new(per_node)).collect(),
-        Topology::synthetic(nodes),
-        NodePolicy::HomeFirst,
+    NodeSet::with_placement(
+        nodes,
+        move |_| NbbsFourLevel::new(per_node),
+        NodePlacement::new(Topology::synthetic(nodes), NodePolicy::HomeFirst),
     )
     .with_name("numa-4lvl-nb")
 }

@@ -196,7 +196,7 @@ impl Measurement {
                 out.push_str(&format!(
                     "{{\"node\":{},\"allocated_bytes\":{},\"local_allocs\":{},\
                      \"remote_allocs\":{},\"failed_allocs\":{}}}",
-                    n.node, n.allocated_bytes, n.local_allocs, n.remote_allocs, n.failed_allocs
+                    n.slot, n.allocated_bytes, n.local_allocs, n.remote_allocs, n.failed_allocs
                 ));
             }
             out.push(']');
@@ -355,14 +355,14 @@ mod tests {
         assert!(!bare.contains("node_shares"), "absent when not attached");
         let m = m.with_node_shares(Some(vec![
             nbbs_numa::NodeStatsSnapshot {
-                node: 0,
+                slot: 0,
                 allocated_bytes: 0,
                 local_allocs: 90,
                 remote_allocs: 10,
                 failed_allocs: 0,
             },
             nbbs_numa::NodeStatsSnapshot {
-                node: 1,
+                slot: 1,
                 allocated_bytes: 64,
                 local_allocs: 80,
                 remote_allocs: 20,

@@ -16,7 +16,7 @@
 //!   *allocation targeting* instead: a `home_ratio` fraction of requests
 //!   routes normally (home node first), the rest explicitly targets a
 //!   remote node (`alloc_on`, the `__GFP_THISNODE`-style pin).  The
-//!   caller reads [`NodeSet::node_stats`] afterwards for the per-node
+//!   caller reads [`nbbs::SlotSet::slot_stats`] afterwards for the per-node
 //!   share table `nbbs-bench fig12` prints.
 
 use std::sync::{Arc, Barrier, Mutex};
@@ -173,7 +173,7 @@ pub fn run(alloc: &SharedBackend, params: NumaSkewParams) -> WorkloadResult {
 
 /// Runs the [`NodeSet`]-targeted variant: a `home_ratio` fraction of
 /// requests routes normally (home first), the rest pins an explicit remote
-/// node.  Read [`NodeSet::node_stats`] afterwards for the per-node shares.
+/// node.  Read [`nbbs::SlotSet::slot_stats`] afterwards for the per-node shares.
 ///
 /// When a `recorder` is supplied, one in [`nbbs_obs::DEFAULT_SAMPLE_STRIDE`]
 /// alloc/free pairs is timed into it — the explicit `alloc_on` targeting
@@ -195,8 +195,8 @@ pub fn run_on_nodes<A: BuddyBackend + 'static>(
         let barrier = Arc::clone(&barrier);
         let recorder = recorder.clone();
         handles.push(std::thread::spawn(move || {
-            let n = set.node_count();
-            let home = set.home_node();
+            let n = set.slot_count();
+            let home = set.home_slot();
             let mut rng = SplitMix64::new(0xF1612 ^ t as u64);
             let mut live = Vec::with_capacity(params.window + 1);
             let mut failed = 0u64;
@@ -273,7 +273,7 @@ mod tests {
     use super::*;
     use crate::factory::{build, AllocatorKind};
     use nbbs::BuddyConfig;
-    use nbbs_numa::{NodePolicy, NodeSet, Topology};
+    use nbbs_numa::{NodePlacement, NodePolicy, NodeSet, Topology};
 
     fn params(threads: usize) -> NumaSkewParams {
         NumaSkewParams {
@@ -304,12 +304,10 @@ mod tests {
 
     #[test]
     fn node_targeted_run_records_remote_service() {
-        let set = Arc::new(NodeSet::with_topology(
-            (0..2)
-                .map(|_| nbbs::NbbsFourLevel::new(BuddyConfig::new(1 << 18, 64, 1 << 12).unwrap()))
-                .collect::<Vec<_>>(),
-            Topology::synthetic(2),
-            NodePolicy::HomeFirst,
+        let set = Arc::new(NodeSet::with_placement(
+            2,
+            move |_| nbbs::NbbsFourLevel::new(BuddyConfig::new(1 << 18, 64, 1 << 12).unwrap()),
+            NodePlacement::new(Topology::synthetic(2), NodePolicy::HomeFirst),
         ));
         let recorder = Arc::new(Recorder::new());
         let result = run_on_nodes(
@@ -319,7 +317,7 @@ mod tests {
         );
         assert_eq!(result.failed_allocs, 0);
         assert_eq!(set.allocated_bytes(), 0, "all pairs returned");
-        let stats = set.node_stats();
+        let stats = set.slot_stats();
         let remote: u64 = stats.iter().map(|s| s.remote_allocs).sum();
         let served: u64 = stats.iter().map(|s| s.served()).sum();
         assert!(served > 0);
@@ -333,16 +331,14 @@ mod tests {
 
     #[test]
     fn fully_home_ratio_stays_local_on_nodes() {
-        let set = Arc::new(NodeSet::with_topology(
-            (0..2)
-                .map(|_| nbbs::NbbsFourLevel::new(BuddyConfig::new(1 << 18, 64, 1 << 12).unwrap()))
-                .collect::<Vec<_>>(),
-            Topology::synthetic(2),
-            NodePolicy::HomeFirst,
+        let set = Arc::new(NodeSet::with_placement(
+            2,
+            move |_| nbbs::NbbsFourLevel::new(BuddyConfig::new(1 << 18, 64, 1 << 12).unwrap()),
+            NodePlacement::new(Topology::synthetic(2), NodePolicy::HomeFirst),
         ));
         let result = run_on_nodes(&set, params(2).with_home_ratio(1.0), None);
         assert_eq!(result.failed_allocs, 0);
-        let stats = set.node_stats();
+        let stats = set.slot_stats();
         let remote: u64 = stats.iter().map(|s| s.remote_allocs).sum();
         assert_eq!(
             remote, 0,

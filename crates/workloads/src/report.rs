@@ -415,7 +415,7 @@ pub fn node_share_table(measurements: &[Measurement]) -> String {
                 m.allocator,
                 m.size,
                 m.result.threads,
-                n.node,
+                n.slot,
                 share,
                 n.local_allocs,
                 n.remote_allocs,
@@ -670,14 +670,14 @@ mod tests {
         set[0].allocator = "numa-4lvl-nb".into();
         set[0].node_shares = Some(vec![
             nbbs_numa::NodeStatsSnapshot {
-                node: 0,
+                slot: 0,
                 allocated_bytes: 0,
                 local_allocs: 75,
                 remote_allocs: 0,
                 failed_allocs: 0,
             },
             nbbs_numa::NodeStatsSnapshot {
-                node: 1,
+                slot: 1,
                 allocated_bytes: 0,
                 local_allocs: 20,
                 remote_allocs: 5,

@@ -16,8 +16,8 @@
 //! the memory policy skews requests towards one node (the Figure 12
 //! scenario), and that is where the non-blocking design helps.  Since
 //! `nbbs-numa`, the multi-node deployment is a first-class
-//! [`nbbs::BuddyBackend`] — so unlike the old `MultiInstance` example this
-//! one drives it through the *whole* stack:
+//! [`nbbs::BuddyBackend`] (an `nbbs::SlotSet` that builds one tree per
+//! node), so this example drives it through the *whole* stack:
 //!
 //! 1. **balanced**: threads churn `Layout` allocations through
 //!    `NbbsAllocator<MagazineCache<NodeSet<NbbsFourLevel>>>`; the per-node
@@ -33,23 +33,23 @@ use std::sync::Arc;
 use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel};
 use nbbs_alloc::NbbsAllocator;
 use nbbs_cache::{CacheConfig, MagazineCache, NodeOfFn};
-use nbbs_numa::{topology, NodePolicy, NodeSet, Topology};
+use nbbs_numa::{topology, NodePlacement, NodePolicy, NodeSet, Topology};
 use nbbs_workloads::rng::SplitMix64;
 
 const PER_NODE: usize = 8 << 20; // 8 MiB per "NUMA node"
 
 fn node_set(nodes: usize, policy: NodePolicy) -> NodeSet<NbbsFourLevel> {
     let config = BuddyConfig::new(PER_NODE, 64, 64 << 10).unwrap();
-    NodeSet::with_topology(
-        (0..nodes).map(|_| NbbsFourLevel::new(config)).collect(),
-        Topology::synthetic(nodes),
-        policy,
+    NodeSet::with_placement(
+        nodes,
+        move |_| NbbsFourLevel::new(config),
+        NodePlacement::new(Topology::synthetic(nodes), policy),
     )
     .with_name("numa-4lvl-nb")
 }
 
 fn print_shares(set: &NodeSet<NbbsFourLevel>) {
-    let stats = set.node_stats();
+    let stats = set.slot_stats();
     let total: u64 = stats.iter().map(|s| s.served()).sum();
     for s in &stats {
         let share = if total == 0 {
@@ -59,7 +59,7 @@ fn print_shares(set: &NodeSet<NbbsFourLevel>) {
         };
         println!(
             "  node {}: {:>5.1}% of allocations ({} local, {} remote-fallback, {} B live)",
-            s.node, share, s.local_allocs, s.remote_allocs, s.allocated_bytes
+            s.slot, share, s.local_allocs, s.remote_allocs, s.allocated_bytes
         );
     }
 }
@@ -160,7 +160,7 @@ fn main() {
             break;
         }
     }
-    let remote: u64 = skewed.node_stats().iter().map(|s| s.remote_allocs).sum();
+    let remote: u64 = skewed.slot_stats().iter().map(|s| s.remote_allocs).sum();
     println!("\nskewed load pinned to node 0 (per-node shares):");
     print_shares(&skewed);
     println!("  allocations that overflowed to a remote node: {remote}");
@@ -176,6 +176,10 @@ fn main() {
     assert_eq!(skewed.allocated_bytes(), 0);
     println!(
         "\nall memory returned; per-node live bytes: {:?}",
-        skewed.allocated_bytes_per_node()
+        skewed
+            .slot_stats()
+            .iter()
+            .map(|s| s.allocated_bytes)
+            .collect::<Vec<_>>()
     );
 }

@@ -126,7 +126,7 @@ fn main() {
     // 6. Production deployments interpose a per-thread cache so the hot
     //    path rarely touches the shared tree.  MagazineCache wraps any
     //    backend — and is itself a BuddyBackend, so everything above
-    //    (BuddyRegion, MultiInstance, trait objects) nests unchanged.
+    //    (BuddyRegion, NodeSet/ElasticSet, trait objects) nests unchanged.
     //
     //    Overflow/refill traffic goes through *sharded* depots (one
     //    lock-free magazine stack per group of thread slots, so chunks
@@ -235,25 +235,25 @@ fn main() {
     //    use, `NbbsGlobalAlloc::new(..).with_nodes(0)` deploys this whole
     //    stack per detected node — see examples/numa_multi_instance.rs.
     // ------------------------------------------------------------------
-    use nbbs_numa::{NodePolicy, NodeSet, Topology};
+    use nbbs_numa::{NodePlacement, NodePolicy, NodeSet, Topology};
 
-    let numa_facade = NbbsAllocator::new(MagazineCache::new(NodeSet::with_topology(
-        (0..2).map(|_| NbbsFourLevel::new(config)).collect(),
-        Topology::synthetic(2),
-        NodePolicy::HomeFirst,
+    let numa_facade = NbbsAllocator::new(MagazineCache::new(NodeSet::with_placement(
+        2,
+        move |_| NbbsFourLevel::new(config),
+        NodePlacement::new(Topology::synthetic(2), NodePolicy::HomeFirst),
     )));
     let layout = Layout::from_size_align(256, 64).unwrap();
     let block = numa_facade.allocate(layout).expect("plenty of space");
     let node_set = numa_facade.backend().backend();
     println!(
         "multi-node facade over {} nodes served {} bytes (home node {})",
-        node_set.node_count(),
+        node_set.slot_count(),
         block.len(),
-        node_set.home_node()
+        node_set.home_slot()
     );
     unsafe { numa_facade.deallocate(block.cast(), layout) };
     numa_facade.backend().drain_all();
-    let shares = node_set.node_stats();
+    let shares = node_set.slot_stats();
     println!(
         "per-node service counts: {:?}",
         shares.iter().map(|s| s.served()).collect::<Vec<_>>()
@@ -666,30 +666,37 @@ fn main() {
     //     allocation CAS and hands their pages back to the kernel.
     //
     //     ElasticSet stretches that into a *chain* of buddy instances
-    //     behind one widened backend: slot 0 exists from the start, extra
-    //     regions are built under sustained OOM pressure, and drained
-    //     regions retire to dormant at trough so the scrubber can release
-    //     their whole span.  Pressure later *reactivates* dormant regions
-    //     instead of building new ones.
+    //     behind one widened backend — the same `nbbs::SlotSet` as §8's
+    //     NodeSet, but only slot 0 is built up front.  Two consecutive
+    //     misses on every active region (sustained pressure, not one lost
+    //     race) build the next region, and drained regions retire to
+    //     dormant at trough so the scrubber can release their whole span.
+    //     Pressure later *reactivates* dormant regions instead of building
+    //     new ones.
     // ------------------------------------------------------------------
     use nbbs::ElasticSet;
 
-    let elastic = BuddyRegion::new(
-        ElasticSet::new(4, move |_slot| NbbsFourLevel::new(config)).with_grow_threshold(1),
-    );
+    let elastic = BuddyRegion::new(ElasticSet::new(4, move |_slot| NbbsFourLevel::new(config)));
+    // The first miss at a full chain only counts towards the streak; the
+    // retry is the second miss, which grows the chain.
+    let alloc_chunk = || {
+        elastic
+            .alloc_bytes(64 << 10)
+            .or_else(|| elastic.alloc_bytes(64 << 10))
+    };
     // `committed_bytes` is an upper bound on residency: a fresh demand-zero
     // mapping reads fully committed, but pages become resident only when
     // touched and leave the count when the scrubber decommits them.
     println!(
         "\nelastic region: {} B reserved across up to {} regions, {} B committed (upper bound)",
         elastic.managed_bytes(),
-        elastic.backend().max_regions(),
+        elastic.backend().slot_count(),
         elastic.committed_bytes()
     );
 
     // Day: demand beyond one region's 1 MiB makes the chain grow.
     let mut day = Vec::new();
-    while let Some(ptr) = elastic.alloc_bytes(64 << 10) {
+    while let Some(ptr) = alloc_chunk() {
         unsafe { ptr.as_ptr().write_bytes(0xEE, 64 << 10) };
         day.push(ptr);
     }
@@ -723,9 +730,8 @@ fn main() {
 
     // Dawn: renewed pressure reactivates the dormant regions — demand-zero
     // pages fault back in lazily, no rebuild.
-    let again = elastic.alloc_bytes(64 << 10).expect("slot 0 serves");
-    let mut dawn = vec![again];
-    while let Some(ptr) = elastic.alloc_bytes(64 << 10) {
+    let mut dawn = Vec::new();
+    while let Some(ptr) = alloc_chunk() {
         dawn.push(ptr);
     }
     println!(

@@ -9,6 +9,7 @@
 //! scrub, and memory that crossed the decommit boundary must still be
 //! readable/writable when its region reactivates.
 
+use std::ptr::NonNull;
 use std::time::{Duration, Instant};
 
 use nbbs::{BuddyBackend, BuddyConfig, BuddyRegion, ElasticSet, NbbsFourLevel};
@@ -20,10 +21,18 @@ const MAX_REGIONS: usize = 4;
 
 fn elastic_region() -> BuddyRegion<ElasticSet<NbbsFourLevel>> {
     let config = BuddyConfig::new(REGION_TOTAL, 64, BLOCK).unwrap();
-    BuddyRegion::new(
-        ElasticSet::new(MAX_REGIONS, move |_slot| NbbsFourLevel::new(config))
-            .with_grow_threshold(1),
-    )
+    BuddyRegion::new(ElasticSet::new(MAX_REGIONS, move |_slot| {
+        NbbsFourLevel::new(config)
+    }))
+}
+
+/// One block, allowing the single miss that precedes a grow: the set grows
+/// on the second consecutive miss, so `None` here means every region is
+/// active and full.
+fn alloc_block(region: &BuddyRegion<ElasticSet<NbbsFourLevel>>) -> Option<NonNull<u8>> {
+    region
+        .alloc_bytes(BLOCK)
+        .or_else(|| region.alloc_bytes(BLOCK))
 }
 
 #[test]
@@ -34,7 +43,7 @@ fn chain_grows_under_pressure_and_scrubs_back_at_trough() {
     // Ramp: fill well past the first region, writing a distinct pattern to
     // every block so cross-region routing bugs show up as corruption.
     let mut held = Vec::new();
-    while let Some(ptr) = region.alloc_bytes(BLOCK) {
+    while let Some(ptr) = alloc_block(&region) {
         unsafe { ptr.as_ptr().write_bytes(held.len() as u8, BLOCK) };
         held.push(ptr);
     }
@@ -78,7 +87,7 @@ fn dormant_regions_reactivate_and_their_memory_survives_the_boundary() {
     // Ramp up, ramp down, scrub: regions 1..N are now dormant with their
     // pages handed back to the kernel.
     let mut held = Vec::new();
-    while let Some(ptr) = region.alloc_bytes(BLOCK) {
+    while let Some(ptr) = alloc_block(&region) {
         held.push(ptr);
     }
     for ptr in held.drain(..) {
@@ -90,7 +99,7 @@ fn dormant_regions_reactivate_and_their_memory_survives_the_boundary() {
     // Renewed pressure: the set reactivates dormant slots (never builds
     // anew — they are already constructed) and the recycled memory, fresh
     // from the decommit boundary, must be demand-zero and writable.
-    while let Some(ptr) = region.alloc_bytes(BLOCK) {
+    while let Some(ptr) = alloc_block(&region) {
         held.push(ptr);
     }
     assert_eq!(held.len(), MAX_REGIONS * (REGION_TOTAL / BLOCK));
@@ -124,7 +133,7 @@ fn background_scrubber_drives_the_chain_down() {
 
     // Burst past the first region, then drop to idle.
     let mut held = Vec::new();
-    while let Some(ptr) = region.alloc_bytes(BLOCK) {
+    while let Some(ptr) = alloc_block(&region) {
         held.push(ptr);
     }
     let peak = region.committed_bytes();
@@ -157,7 +166,7 @@ fn scrub_claims_never_touch_live_blocks_across_regions() {
     // Spread live blocks across the whole chain, then free every other one
     // so the scrubber has plenty to claim *between* live neighbours.
     let mut held = Vec::new();
-    while let Some(ptr) = region.alloc_bytes(BLOCK) {
+    while let Some(ptr) = alloc_block(&region) {
         unsafe { ptr.as_ptr().write_bytes(0xA5, BLOCK) };
         held.push(ptr);
     }

@@ -354,10 +354,13 @@ proptest! {
         let node_set = {
             let config = BuddyConfig::new(TOTAL / 4, MIN, MAX / 4).unwrap();
             // 3 nodes widen to 4; the phantom tail must not change grants.
-            nbbs_numa::NodeSet::with_topology(
-                (0..3).map(|_| NbbsFourLevel::new(config)).collect(),
-                nbbs_numa::Topology::synthetic(3),
-                nbbs_numa::NodePolicy::HomeFirst,
+            nbbs_numa::NodeSet::with_placement(
+                3,
+                move |_| NbbsFourLevel::new(config),
+                nbbs_numa::NodePlacement::new(
+                    nbbs_numa::Topology::synthetic(3),
+                    nbbs_numa::NodePolicy::HomeFirst,
+                ),
             )
         };
         let mut probes = vec![1, MIN - 1, MIN, MIN + 1, MAX - 1, MAX, MAX + 1, old_size, other_size];

@@ -1,6 +1,6 @@
 //! Failure-path and edge-case integration tests: exhaustion, oversized and
 //! invalid requests, invalid frees, recovery after out-of-memory, and
-//! multi-instance fallback behaviour.
+//! multi-node fallback behaviour.
 
 use std::alloc::Layout;
 use std::ptr::NonNull;
@@ -8,12 +8,10 @@ use std::ptr::NonNull;
 use proptest::prelude::*;
 
 use nbbs::error::{AllocError, FreeError};
-#[allow(deprecated)]
-use nbbs::MultiInstance;
 use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel, NbbsOneLevel};
 use nbbs_alloc::NbbsAllocator;
 use nbbs_cache::MagazineCache;
-use nbbs_numa::{NodePolicy, NodeSet, Topology};
+use nbbs_numa::{NodePlacement, NodePolicy, NodeSet, Topology};
 use nbbs_workloads::factory::{build, AllocatorKind};
 use nbbs_workloads::rng::SplitMix64;
 
@@ -165,37 +163,41 @@ fn fragmentation_induced_oom_is_transient_not_permanent() {
 }
 
 #[test]
-#[allow(deprecated)]
-fn multi_instance_falls_back_and_reports_exhaustion() {
-    let instances: Vec<NbbsOneLevel> = (0..3)
-        .map(|_| NbbsOneLevel::new(BuddyConfig::new(4096, 64, 4096).unwrap()))
-        .collect();
-    let multi = MultiInstance::new(instances);
-    assert_eq!(multi.total_memory(), 3 * 4096);
+fn node_set_falls_back_and_reports_exhaustion() {
+    let set = NodeSet::with_placement(
+        3,
+        |_| NbbsOneLevel::new(BuddyConfig::new(4096, 64, 4096).unwrap()),
+        NodePlacement::new(Topology::synthetic(3), NodePolicy::HomeFirst),
+    );
+    assert_eq!(
+        set.total_memory(),
+        3 * 4096,
+        "the logical span, not the widened one"
+    );
 
-    // Fill instance 0 explicitly; routed allocations must overflow to the
-    // other instances rather than failing.
+    // Fill node 0 explicitly; routed allocations must overflow to the
+    // other nodes rather than failing.
     let mut held = Vec::new();
-    while let Some(off) = multi.alloc_on(0, 4096) {
+    while let Some(off) = set.alloc_on(0, 4096) {
         held.push(off);
     }
     for _ in 0..2 {
-        let off = multi.alloc(4096).expect("fallback must serve the request");
-        assert_ne!(multi.owner_of(off), 0);
+        let off = set.alloc(4096).expect("fallback must serve the request");
+        assert_ne!(set.owner_of(off), 0);
         held.push(off);
     }
     assert!(matches!(
-        multi.try_alloc(64),
+        set.try_alloc(64),
         Err(nbbs::AllocError::OutOfMemory { .. })
     ));
     assert!(matches!(
-        multi.try_alloc(1 << 20),
+        set.try_alloc(1 << 20),
         Err(nbbs::AllocError::TooLarge { .. })
     ));
     for off in held {
-        multi.dealloc(off);
+        set.dealloc(off);
     }
-    assert_eq!(multi.allocated_bytes(), 0);
+    assert_eq!(set.allocated_bytes(), 0);
 }
 
 #[test]
@@ -279,10 +281,10 @@ fn exhaustion_surfaces_oom_through_the_nodeset_and_recovers() {
     const PER_NODE: usize = 1 << 14;
     const UNIT: usize = 64;
     let per = BuddyConfig::new(PER_NODE, UNIT, 1 << 12).unwrap();
-    let set = NodeSet::with_topology(
-        (0..2).map(|_| NbbsFourLevel::new(per)).collect(),
-        Topology::synthetic(2),
-        NodePolicy::HomeFirst,
+    let set = NodeSet::with_placement(
+        2,
+        move |_| NbbsFourLevel::new(per),
+        NodePlacement::new(Topology::synthetic(2), NodePolicy::HomeFirst),
     );
     let mut held = Vec::new();
     while let Some(off) = set.alloc(UNIT) {

@@ -11,27 +11,44 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel};
+use nbbs::{BuddyBackend, BuddyConfig, NbbsFourLevel, NbbsOneLevel};
 use nbbs_alloc::NbbsAllocator;
 use nbbs_cache::{verify_cached_empty, MagazineCache};
-use nbbs_numa::{NodePolicy, NodeSet, Topology};
+use nbbs_numa::{NodePlacement, NodePolicy, NodeSet, Topology};
 
 const PER_NODE: usize = 1 << 18;
 const MIN: usize = 16;
 const MAX: usize = 1 << 13;
 const NODES: usize = 3; // deliberately not a power of two: widening rounds to 4
 
-fn node_set(nodes: usize) -> NodeSet<NbbsFourLevel> {
-    let config = BuddyConfig::new(PER_NODE, MIN, MAX).unwrap();
-    NodeSet::with_topology(
-        (0..nodes).map(|_| NbbsFourLevel::new(config)).collect(),
-        Topology::synthetic(nodes),
-        NodePolicy::HomeFirst,
+/// A home-first set of `nodes` instances made by `build`.
+fn node_set<A: BuddyBackend + 'static>(
+    nodes: usize,
+    build: impl Fn() -> A + Send + Sync + 'static,
+) -> NodeSet<A> {
+    NodeSet::with_placement(
+        nodes,
+        move |_| build(),
+        NodePlacement::new(Topology::synthetic(nodes), NodePolicy::HomeFirst),
     )
 }
 
+fn tree() -> NbbsFourLevel {
+    NbbsFourLevel::new(BuddyConfig::new(PER_NODE, MIN, MAX).unwrap())
+}
+
+/// A single-chunk node: 4 KiB, max request 4 KiB.
+fn small_tree() -> NbbsOneLevel {
+    NbbsOneLevel::new(BuddyConfig::new(4096, 64, 4096).unwrap())
+}
+
+/// Bytes each node currently hands out.
+fn per_node_bytes<A: BuddyBackend>(set: &NodeSet<A>) -> Vec<usize> {
+    set.slot_stats().iter().map(|s| s.allocated_bytes).collect()
+}
+
 fn facade() -> NbbsAllocator<MagazineCache<NodeSet<NbbsFourLevel>>> {
-    NbbsAllocator::new(MagazineCache::new(node_set(NODES)))
+    NbbsAllocator::new(MagazineCache::new(node_set(NODES, tree)))
 }
 
 /// One step of a generated layout workload (mirrors `facade_alloc.rs`).
@@ -171,8 +188,8 @@ proptest! {
         alloc.backend().drain_all();
         let set = alloc.backend().backend();
         prop_assert_eq!(set.allocated_bytes(), 0);
-        for i in 0..set.node_count() {
-            nbbs::verify::audit_empty(set.node(i)).assert_clean();
+        for i in 0..set.slot_count() {
+            nbbs::verify::audit_empty(set.slot(i).unwrap()).assert_clean();
         }
     }
 }
@@ -181,7 +198,7 @@ proptest! {
 /// freed from a thread homed elsewhere, and land back on the owner.
 #[test]
 fn cross_node_frees_route_to_the_owning_node() {
-    let set = Arc::new(node_set(4));
+    let set = Arc::new(node_set(4, tree));
     // Allocate a batch on every node explicitly from this thread.
     let mut offs = Vec::new();
     for node in 0..4 {
@@ -191,7 +208,7 @@ fn cross_node_frees_route_to_the_owning_node() {
             offs.push(off);
         }
     }
-    let per_before = set.allocated_bytes_per_node();
+    let per_before = per_node_bytes(&set);
     assert_eq!(per_before, vec![16 * 1024; 4]);
     // Free everything from a different (spawned) thread, whichever node it
     // is homed on: pure offset arithmetic must return each chunk home.
@@ -203,7 +220,7 @@ fn cross_node_frees_route_to_the_owning_node() {
     })
     .join()
     .unwrap();
-    assert_eq!(set.allocated_bytes_per_node(), vec![0; 4]);
+    assert_eq!(per_node_bytes(&set), vec![0; 4]);
     // Every node can serve its maximal chunk again: nothing leaked across.
     for node in 0..4 {
         let off = set
@@ -212,7 +229,7 @@ fn cross_node_frees_route_to_the_owning_node() {
         set.dealloc(off);
     }
     for i in 0..4 {
-        nbbs::verify::audit_empty(set.node(i)).assert_clean();
+        nbbs::verify::audit_empty(set.slot(i).unwrap()).assert_clean();
     }
 }
 
@@ -233,13 +250,13 @@ fn audit_nodes_cached(
         );
     }
     let set = cache.backend();
-    for node in 0..set.node_count() {
+    for node in 0..set.slot_count() {
         let node_live: BTreeMap<usize, usize> = merged
             .iter()
             .filter(|&(&off, _)| set.owner_of(off) == node)
             .map(|(&off, &size)| (set.split(off).1, size))
             .collect();
-        nbbs::verify::audit(set.node(node), &node_live, true).assert_clean();
+        nbbs::verify::audit(set.slot(node).unwrap(), &node_live, true).assert_clean();
     }
 }
 
@@ -249,7 +266,7 @@ fn audit_nodes_cached(
 /// throughout, and a full drain returns every chunk to its owning tree.
 #[test]
 fn cached_cross_node_traffic_drains_clean() {
-    let cache = Arc::new(MagazineCache::new(node_set(2)));
+    let cache = Arc::new(MagazineCache::new(node_set(2, tree)));
 
     // Producer thread: allocate a pile of chunks (its home node serves
     // them, possibly with fallback).
@@ -295,9 +312,9 @@ fn cached_cross_node_traffic_drains_clean() {
     cache.drain_all();
     audit_nodes_cached(&cache, &BTreeMap::new());
     let set = cache.backend();
-    assert_eq!(set.allocated_bytes_per_node(), vec![0; 2]);
+    assert_eq!(per_node_bytes(set), vec![0; 2]);
     for i in 0..2 {
-        nbbs::verify::audit_empty(set.node(i)).assert_clean();
+        nbbs::verify::audit_empty(set.slot(i).unwrap()).assert_clean();
     }
 }
 
@@ -306,14 +323,7 @@ fn cached_cross_node_traffic_drains_clean() {
 /// each node's `verify_cached_empty` stays clean after cross-node churn.
 #[test]
 fn per_node_caches_verify_clean_after_cross_node_churn() {
-    let config = BuddyConfig::new(PER_NODE, MIN, MAX).unwrap();
-    let set = Arc::new(NodeSet::with_topology(
-        (0..2)
-            .map(|_| MagazineCache::new(NbbsFourLevel::new(config)))
-            .collect::<Vec<_>>(),
-        Topology::synthetic(2),
-        NodePolicy::HomeFirst,
-    ));
+    let set = Arc::new(node_set(2, || MagazineCache::new(tree())));
     let handles: Vec<_> = (0..4)
         .map(|t| {
             let set = Arc::clone(&set);
@@ -343,12 +353,12 @@ fn per_node_caches_verify_clean_after_cross_node_churn() {
     // The merged cache telemetry is visible through the router.
     assert!(set.cache_stats().expect("per-node caches").alloc_requests() > 0);
     for node in 0..2 {
-        verify_cached_empty(set.node(node)).assert_clean();
+        verify_cached_empty(set.slot(node).unwrap()).assert_clean();
     }
     set.drain_cache();
     for node in 0..2 {
-        assert_eq!(set.node(node).backend().allocated_bytes(), 0);
-        nbbs::verify::audit_empty(set.node(node).backend()).assert_clean();
+        assert_eq!(set.slot(node).unwrap().backend().allocated_bytes(), 0);
+        nbbs::verify::audit_empty(set.slot(node).unwrap().backend()).assert_clean();
     }
 }
 
@@ -367,4 +377,112 @@ fn oversize_requests_fail_over_per_node() {
     assert_eq!(block.len(), MAX);
     unsafe { alloc.deallocate(block.cast(), ceiling) };
     assert_eq!(alloc.allocated_bytes(), 0);
+}
+
+/// Exhausting the home node spills routed allocations in nearest-first
+/// ring order: distance 1 clockwise, then distance 1 anticlockwise (which
+/// is home+2 for three nodes).
+#[test]
+fn exhausted_home_spills_in_nearest_first_order() {
+    let set = node_set(3, small_tree);
+    let home = set.home_slot();
+    let mut held = vec![set.alloc_on(home, 4096).expect("fresh home has room")];
+    let first_spill = set.alloc(4096).expect("fallback node has room");
+    assert_eq!(set.owner_of(first_spill), (home + 1) % 3, "nearest first");
+    let second_spill = set.alloc(4096).expect("second fallback has room");
+    assert_eq!(set.owner_of(second_spill), (home + 2) % 3);
+    assert!(set.alloc(64).is_none(), "every node is full");
+    held.extend([first_spill, second_spill]);
+    let stats = set.slot_stats();
+    assert_eq!(stats[home].local_allocs, 1);
+    assert_eq!(stats[(home + 1) % 3].remote_allocs, 1);
+    assert_eq!(
+        stats[home].failed_allocs, 1,
+        "the miss counts on the start node"
+    );
+    for off in held {
+        set.dealloc(off);
+    }
+    assert_eq!(set.allocated_bytes(), 0);
+}
+
+/// Four nodes is where a plain `start..start+n` scan and nearest-first
+/// diverge: with home and home+1 full, the wrapped distance-1 neighbour
+/// home-1 must be probed before the distance-2 node home+2.
+#[test]
+fn fallback_respects_ring_distance_with_an_even_node_count() {
+    let set = node_set(4, small_tree);
+    let home = set.home_slot();
+    let held = [
+        set.alloc_on(home, 4096).expect("room"),
+        set.alloc_on((home + 1) % 4, 4096).expect("room"),
+    ];
+    let spill = set.alloc(4096).expect("two nodes still have room");
+    assert_eq!(
+        set.owner_of(spill),
+        (home + 3) % 4,
+        "wrapped neighbour first"
+    );
+    for off in held.into_iter().chain([spill]) {
+        set.dealloc(off);
+    }
+    assert_eq!(set.allocated_bytes(), 0);
+}
+
+/// Nodes that sit behind their own magazine cache spill, account and drain
+/// like bare ones.
+#[test]
+fn cached_nodes_route_and_drain_like_bare_ones() {
+    let set = node_set(2, || MagazineCache::new(small_tree()));
+    // Exhaust the home node *through its cache*: the spill still works.
+    let home = set.home_slot();
+    let mut held = Vec::new();
+    while let Some(off) = set.alloc_on(home, 4096) {
+        held.push(off);
+    }
+    let spilled = set.alloc(4096).expect("cached fallback node has room");
+    assert_eq!(set.owner_of(spilled), 1 - home);
+    set.dealloc(spilled);
+    for off in held {
+        set.dealloc(off);
+    }
+    assert_eq!(set.allocated_bytes(), 0, "cache-aware accounting");
+    // Draining each node's cache returns the chunks to the right tree.
+    for node in 0..2 {
+        let cache = set.slot(node).unwrap();
+        cache.drain_cache();
+        assert_eq!(cache.backend().allocated_bytes(), 0);
+    }
+}
+
+/// The set merges its nodes' cache counters, and its drain empties every
+/// node's cache down to the trees.
+#[test]
+fn set_merges_cache_stats_and_drains_every_node() {
+    let bare = node_set(2, small_tree);
+    assert!(bare.cache_stats().is_none(), "bare nodes report no cache");
+    bare.drain_cache(); // a no-op, but must not panic
+
+    let set = node_set(2, || MagazineCache::new(small_tree()));
+    // Traffic on both nodes, so each cache sees requests.
+    for node in 0..2 {
+        let off = set.alloc_on(node, 64).expect("fresh node has room");
+        set.dealloc(off);
+    }
+    let merged = set.cache_stats().expect("cached nodes report a layer");
+    assert!(merged.alloc_requests() >= 2, "both caches saw traffic");
+    assert_eq!(
+        merged.depot_shards,
+        (0..2)
+            .map(|i| set.slot(i).unwrap().depot_shard_count() as u64)
+            .sum::<u64>(),
+        "shards sum across the per-node caches"
+    );
+    set.drain_cache();
+    for node in 0..2 {
+        let cache = set.slot(node).unwrap();
+        assert_eq!(cache.cached_bytes(), 0);
+        assert_eq!(cache.backend().allocated_bytes(), 0);
+    }
+    assert!(set.cache_stats().unwrap().drained > 0);
 }

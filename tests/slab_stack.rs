@@ -17,7 +17,7 @@ use nbbs::{AllocError, BuddyBackend, BuddyConfig, NbbsFourLevel};
 use nbbs_alloc::NbbsAllocator;
 use nbbs_cache::MagazineCache;
 use nbbs_chaos::{FaultInjecting, FaultPlan};
-use nbbs_numa::{NodePolicy, NodeSet, Topology};
+use nbbs_numa::{NodePlacement, NodePolicy, NodeSet, Topology};
 use nbbs_obs::{OpKind, Recorded, Recorder};
 use nbbs_slab::{SlabBackend, SlabConfig};
 use nbbs_workloads::rng::SplitMix64;
@@ -409,12 +409,10 @@ fn slab_composes_under_inert_fault_injection() {
 fn slab_composes_under_node_set() {
     const NODES: usize = 3; // deliberately not a power of two
     let per_node = BuddyConfig::new(1 << 18, MIN, 1 << 13).unwrap();
-    let set = NodeSet::with_topology(
-        (0..NODES)
-            .map(|_| SlabBackend::with_config(NbbsFourLevel::new(per_node), slab_config()))
-            .collect(),
-        Topology::synthetic(NODES),
-        NodePolicy::HomeFirst,
+    let set = NodeSet::with_placement(
+        NODES,
+        move |_| SlabBackend::with_config(NbbsFourLevel::new(per_node), slab_config()),
+        NodePlacement::new(Topology::synthetic(NODES), NodePolicy::HomeFirst),
     );
     // The class grant and its sub-node alignment survive the widening.
     assert_eq!(set.granted_size_for(40), Some(40));
@@ -439,6 +437,6 @@ fn slab_composes_under_node_set() {
     set.drain_cache();
     assert_eq!(set.allocated_bytes(), 0);
     for i in 0..NODES {
-        nbbs::verify::audit_empty(set.node(i).inner()).assert_clean();
+        nbbs::verify::audit_empty(set.slot(i).unwrap().inner()).assert_clean();
     }
 }
